@@ -16,8 +16,9 @@ the four per-instruction terms sum to the CPI exactly.
 Hit ratios are not part of the timing-result payload (they are a
 phase-1 property of (trace, geometry), not of the replayed point), so
 the diff recovers them through :func:`repro.service.queries
-.resolve_events` — served from the events store, i.e. free for any
-cohort that was simulated on this machine — unless ``--no-hit-ratio``
+.resolve_events`, once per (trace, geometry) pair — served from the
+events store, i.e. free for any cohort that was simulated on this
+machine — unless ``--no-hit-ratio``
 opts out (e.g. diffing cohorts fetched from another host).
 """
 
@@ -129,11 +130,20 @@ def resolve_cohort(
 
 
 def _hit_ratio_of(
-    spec: dict[str, Any], point: dict[str, Any]
+    spec: dict[str, Any],
+    point: dict[str, Any],
+    memo: queries.EventsMemo | None = None,
 ) -> float | None:
+    if memo is None:
+        memo = queries.EventsMemo(1)
     params = spec_mod.point_params(spec, point)
     try:
-        return queries.resolve_events(params).stats.hit_ratio
+        key = queries.events_key_of(params)
+        events = memo.get(key)
+        if events is None:
+            events = queries.resolve_events(params)
+            memo.put(key, events)
+        return events.stats.hit_ratio
     except Exception:  # noqa: BLE001 - diff stays usable without HR
         return None
 
@@ -149,6 +159,9 @@ def diff_cohorts(
     keys_a = set(cohort_a)
     keys_b = set(cohort_b)
     rows: list[dict[str, Any]] = []
+    # Sorted keys put each (trace, geometry) pair's rows together, and
+    # both sides of a matched row share it: one entry resolves it once.
+    memo = queries.EventsMemo(1)
     for key in sorted(keys_a & keys_b):
         a = cohort_a[key]
         b = cohort_b[key]
@@ -174,8 +187,8 @@ def diff_cohorts(
             },
         }
         if include_hit_ratio:
-            hr_a = _hit_ratio_of(spec_a, a["point"])
-            hr_b = _hit_ratio_of(spec_b, b["point"])
+            hr_a = _hit_ratio_of(spec_a, a["point"], memo)
+            hr_b = _hit_ratio_of(spec_b, b["point"], memo)
             row["hit_ratio_a"] = hr_a
             row["hit_ratio_b"] = hr_b
             row["delta_hit_ratio"] = (

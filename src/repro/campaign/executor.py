@@ -4,7 +4,9 @@ Drives a registered campaign's pending points to completion through the
 *existing* query paths — locally via
 :func:`repro.service.queries.resolve_events` /
 :func:`~repro.service.queries.simulate_from_events` (the exact
-functions the service's micro-batcher calls), or remotely via a running
+functions the service's micro-batcher calls; phase 1 resolves once per
+(trace, geometry) column through the same
+:class:`~repro.service.queries.EventsMemo`), or remotely via a running
 service / fleet (``--via-service URL``) using ``/v1/sweep`` streams for
 whole cache columns and ``/v1/simulate`` for stragglers.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import logging
 from typing import Any, Callable, Iterable
 
+from repro.cache.events import EventStream
 from repro.campaign import spec as spec_mod
 from repro.campaign.registry import Campaign
 from repro.obs import metrics, tracing
@@ -135,12 +138,32 @@ def _pending_points(
     return pending
 
 
+def _column_events(
+    campaign: Campaign, memo: queries.EventsMemo, params: dict[str, Any]
+) -> EventStream:
+    """Phase 1 for ``params``: the memo's stream for its (trace,
+    geometry) key, resolved (and remembered) on a key change."""
+    key = queries.events_key_of(params)
+    events = memo.get(key)
+    if events is None:
+        with tracing.span(
+            "campaign.phase1", campaign=campaign.id[:12], key=key[:12]
+        ):
+            events = queries.resolve_events(params)
+        memo.put(key, events)
+    return events
+
+
 def _run_local(
     campaign: Campaign,
     pending: list[spec_mod.CampaignPoint],
     checkpointer: _Checkpointer,
     counts: dict[str, int],
 ) -> None:
+    # Points come trace-major, cache-major (resumes keep that order),
+    # so one (trace, geometry) column is contiguous: a one-entry memo
+    # resolves phase 1 once per column, not once per point.
+    memo = queries.EventsMemo(1)
     for cp in pending:
         if checkpointer.exhausted:
             return
@@ -153,10 +176,10 @@ def _run_local(
             continue
         params = spec_mod.point_params(campaign.spec, cp.point)
         try:
+            events = _column_events(campaign, memo, params)
             with tracing.span(
                 "campaign.point", campaign=campaign.id[:12], index=cp.index
             ):
-                events = queries.resolve_events(params)
                 result = queries.simulate_from_events(params, events)
         except Exception as error:  # noqa: BLE001 - recorded per point
             counts["errors"] += 1

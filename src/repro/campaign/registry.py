@@ -41,7 +41,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -54,6 +53,7 @@ from repro.service.result_cache import (
     result_key,
     simulate_key_material,
 )
+from repro.util import atomic_io
 from repro.util.jsonout import dump_json, dump_json_line
 
 log = logging.getLogger("repro.campaign")
@@ -89,19 +89,7 @@ def resolve_registry_dir(configured: str | os.PathLike[str] | None) -> Path:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
-    try:
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_io.write_bytes(path, data)
 
 
 def _checksum_doc(data: bytes) -> dict[str, Any]:

@@ -34,11 +34,13 @@ Three kernels cover the registry:
   :class:`~repro.cpu.nonblocking.MSHRSimulator` (including the
   load-use-distance knob).
 
-:func:`replay_fs_sweep` additionally vectorizes full-stall accounting
-array-at-a-time over a ``beta_m`` grid: with FS the per-miss recurrence
-telescopes into a closed form whose terms are all integer-valued when
-``beta_m`` is, so numpy reproduces the loop bitwise; fractional grids
-fall back to the per-point kernel automatically.
+Full stall on the fast path takes a fourth, :func:`replay_fs_sweep`:
+with FS the per-miss recurrence telescopes into a closed form, computed
+array-at-a-time over a whole ``beta_m`` grid (a single point is a grid
+of one).  While ``beta_m`` is integral and the cycle total stays below
+2**53 every term is an exact integer, so the closed form reproduces
+:func:`_replay` bitwise; outside that bound it runs :func:`_replay`
+per point.
 
 The only configuration still outside replay is multi-issue
 (``issue_rate > 1``), which goes through the step simulator via
@@ -151,8 +153,12 @@ def replay(
             f"{reason}; use the TimingSimulator oracle"
         )
     if _is_fast_path(events.config, memory, write_buffer_depth):
-        kernel = _replay
-        args = (events, memory, policy)
+        if policy is StallPolicy.FULL_STALL:
+            kernel = _replay_fs
+            args = (events, memory)
+        else:
+            kernel = _replay
+            args = (events, memory, policy)
     else:
         kernel = _replay_general
         args = (events, memory, policy, write_buffer_depth)
@@ -166,6 +172,11 @@ def replay(
         kernel=kernel.__name__.lstrip("_"),
     ):
         return kernel(*args)
+
+
+def _replay_fs(events: EventStream, memory: MainMemory) -> TimingResult:
+    """One full-stall point: :func:`replay_fs_sweep` over a grid of one."""
+    return replay_fs_sweep(events, (memory.memory_cycle,), memory.bus_width)[0]
 
 
 def _replay(
@@ -638,6 +649,19 @@ def _replay_mshr(
     return result
 
 
+def _fs_closed_form_exact(grid: np.ndarray, scale: int, n: int) -> bool:
+    """Whether the FS closed form equals :func:`_replay` bitwise on ``grid``.
+
+    It does when every ``beta_m`` is integral and every partial sum the
+    kernel forms is an integer below 2**53, where float addition and
+    multiplication are exact.  Time only grows, so the largest of those
+    sums is the cycle total, ``scale * beta_m + n``.
+    """
+    if not np.all(np.isfinite(grid) & (grid == np.floor(grid))):
+        return False
+    return grid.size == 0 or scale * int(grid.max()) + n < 2**53
+
+
 def replay_fs_sweep(
     events: EventStream, betas: Sequence[float], bus_width: int
 ) -> tuple[TimingResult, ...]:
@@ -645,14 +669,16 @@ def replay_fs_sweep(
 
     Under FS nothing overlaps: every fill stalls the processor for the
     full ``(L/D) * beta_m`` and the bus never delays anyone, so the
-    per-miss recurrence telescopes into a closed form.  When every
-    ``beta_m`` is integer-valued all terms are exact integers and numpy
-    multiplication reproduces the kernel's repeated addition bitwise;
-    a fractional grid falls back to the per-point kernel (whose
-    operation order is then the only bitwise-faithful one).
+    per-miss recurrence telescopes into a closed form.  Within
+    :func:`_fs_closed_form_exact`'s bound numpy multiplication
+    reproduces the kernel's repeated addition bitwise; any other grid
+    (fractional, or with a cycle total of 2**53 or more) runs the
+    per-point kernel, whose operation order is then the only
+    bitwise-faithful one.
     """
     config = events.config
-    memory_probe = MainMemory(betas[0] if len(betas) else 1.0, bus_width)
+    # The smallest beta_m: MainMemory rejects it if any is out of range.
+    memory_probe = MainMemory(min(betas) if len(betas) else 1.0, bus_width)
     if not _is_fast_path(config, memory_probe, None) or not supports_replay(
         config, memory_probe, StallPolicy.FULL_STALL
     ):
@@ -661,15 +687,15 @@ def replay_fs_sweep(
             f"plain MainMemory only (config={events.config})"
         )
     grid = np.asarray(betas, dtype=float)
-    if not np.all(grid == np.floor(grid)):
-        return tuple(
-            _replay(events, MainMemory(beta, bus_width), StallPolicy.FULL_STALL)
-            for beta in betas
-        )
     n_chunks = events.line_size // bus_width
     fills = events.stats.line_fills
     dirty = int(events.dirty_victim.sum())
     n = events.n_instructions
+    if not _fs_closed_form_exact(grid, (fills + dirty) * n_chunks, n):
+        return tuple(
+            _replay(events, MainMemory(beta, bus_width), StallPolicy.FULL_STALL)
+            for beta in betas
+        )
     fill_durations = n_chunks * grid
     read_stalls = fills * fill_durations
     flush_stalls = dirty * fill_durations

@@ -11,7 +11,7 @@ consistent-hash router (:mod:`repro.service.router`).  See
 load-generator workflow.
 """
 
-from repro.service.batching import EventsMemo, MicroBatcher, QueueFullError
+from repro.service.batching import MicroBatcher, QueueFullError
 from repro.service.client import (
     BUSY_STATUSES,
     ServiceClient,
@@ -19,7 +19,7 @@ from repro.service.client import (
     backoff_delays,
 )
 from repro.service.disk_cache import DiskResultCache
-from repro.service.queries import InvalidQuery
+from repro.service.queries import EventsMemo, InvalidQuery
 from repro.service.result_cache import (
     RESULT_CACHE_VERSION,
     ResultCache,

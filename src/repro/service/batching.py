@@ -34,8 +34,10 @@ Robustness contract:
   then stops the scheduler — the SIGTERM path.
 
 The worker also keeps a small LRU memo of resolved
-:class:`~repro.cache.events.EventStream` objects so *successive*
-batches over a hot key skip straight to replay; the memo is counted
+:class:`~repro.cache.events.EventStream` objects
+(:class:`repro.service.queries.EventsMemo`, shared with the local
+campaign executor) so *successive* batches over a hot key skip
+straight to replay; the memo is counted
 (``service.events_memo.{hit,miss}``) and bounded by entry count — event
 streams for the service's capped trace sizes are a few hundred KiB.
 """
@@ -54,6 +56,7 @@ from repro.obs import tracing
 from repro.obs.live import current_request_id, request_context
 from repro.obs.metrics import MetricsRegistry
 from repro.service import queries
+from repro.service.queries import EventsMemo
 
 
 class QueueFullError(Exception):
@@ -70,28 +73,6 @@ class _Pending:
     future: asyncio.Future
     request_id: str | None = None
     trace_context: tuple[str, str] | None = None
-
-
-class EventsMemo:
-    """Count-bounded LRU of resolved event streams (worker-thread only)."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, EventStream] = OrderedDict()
-
-    def get(self, key: str) -> EventStream | None:
-        events = self._entries.get(key)
-        if events is not None:
-            self._entries.move_to_end(key)
-        return events
-
-    def put(self, key: str, events: EventStream) -> None:
-        self._entries[key] = events
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
 
 class MicroBatcher:

@@ -38,13 +38,12 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import time
 from pathlib import Path
 
 from repro.obs import metrics, tracing
 from repro.service.result_cache import RESULT_CACHE_VERSION
-from repro.util import store_gc
+from repro.util import atomic_io, store_gc
 
 log = logging.getLogger("repro.result_store")
 
@@ -85,22 +84,6 @@ def resolve_cache_dir(configured: str | os.PathLike[str] | None) -> Path:
     if configured is not None:
         return Path(configured)
     return default_cache_dir()
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
-    try:
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class DiskResultCache:
@@ -200,8 +183,8 @@ class DiskResultCache:
         try:
             with tracing.span("result_store.save", key=key[:12]):
                 self.directory.mkdir(parents=True, exist_ok=True)
-                _atomic_write(bin_path, payload)
-                _atomic_write(meta_path, sidecar)
+                atomic_io.write_bytes(bin_path, payload)
+                atomic_io.write_bytes(meta_path, sidecar)
         except OSError as exc:
             log.debug("result_store: save failed for %s: %s", key[:12], exc)
             return

@@ -10,7 +10,8 @@ micro-batch scheduler can share its expensive half:
 * :func:`trace_fingerprint_of` / :func:`events_key_of` — the
   (trace, geometry) identity a batch group coalesces on;
 * :func:`resolve_events` — phase 1: one functional extraction (or
-  events-store / memo hit) per group;
+  events-store hit) per group, and :class:`EventsMemo`, the in-process
+  memo of its results that the batcher and the campaign executor share;
 * :func:`simulate_from_events` — phase 2: the per-request replay, plus
   the step-simulator oracle for the configurations replay does not
   cover (multi-issue; see ``docs/ENGINE.md``).
@@ -23,6 +24,7 @@ serialization both the service tests and the CLI comparisons use.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any
 
 from repro.analysis.design_advisor import DesignBrief, recommend
@@ -274,6 +276,34 @@ def resolve_events(params: dict[str, Any]) -> EventStream:
         cache_config_of(params),
         _trace_factory(params["trace"]),
     )
+
+
+class EventsMemo:
+    """Count-bounded LRU of resolved event streams, by :func:`events_key_of`.
+
+    The one phase-1 memo: the service's micro-batcher keeps a few
+    entries across batches, the local campaign executor one entry for
+    the (trace, geometry) column it is walking.  Not thread-safe; each
+    owner uses it from one thread.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._entries: OrderedDict[str, EventStream] = OrderedDict()
+
+    def get(self, key: str) -> EventStream | None:
+        events = self._entries.get(key)
+        if events is not None:
+            self._entries.move_to_end(key)
+        return events
+
+    def put(self, key: str, events: EventStream) -> None:
+        self._entries[key] = events
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
 
 def memory_of(params: dict[str, Any]) -> MainMemory:
