@@ -296,6 +296,9 @@ OVERHEAD_HZ = 97
 #: The bench run itself fails if the sampler costs more than this.
 OVERHEAD_BUDGET_RATIO = 1.05
 
+#: Shortest timed round of the overhead measurement, in seconds.
+OVERHEAD_WINDOW_S = 0.5
+
 
 def _collect_phase_breakdown(store_dir: str) -> dict:
     """Profile a *cold* ``--all --quick`` sweep; return its phase table.
@@ -334,11 +337,16 @@ def _measure_profiler_overhead() -> dict:
     Off/on rounds are interleaved (A/B/A/B...) so slow machine drift
     hits both sides equally: sequential blocks let a background load
     spike land entirely on one side and fake (or mask) a regression.
-    Every round clears the in-process memos so it does real work
-    against the warm disk store; otherwise later rounds are served
+    Every figure1 run clears the in-process memos so it does real work
+    against the warm disk store; otherwise later runs are served
     from memory in microseconds and best-of times nothing but
-    sampler startup.
+    sampler startup.  A round repeats figure1 until it spans at least
+    :data:`OVERHEAD_WINDOW_S`: the sampler's start and stop cost a few
+    milliseconds whatever the run's length, so a window holding only a
+    handful of samples would price that fixed cost, not sampling.
     """
+    import contextlib
+    import math
     import time
 
     from repro.experiments._phi import clear_caches
@@ -347,20 +355,24 @@ def _measure_profiler_overhead() -> dict:
     clear_caches()
     run_experiment("figure1", quick=False)  # warm the events store
 
-    def _round(profiled: bool) -> float:
-        clear_caches()
+    def _round(profiled: bool, repeats: int) -> float:
+        sampler = (
+            profile_mod.SamplingProfiler(hz=OVERHEAD_HZ)
+            if profiled
+            else contextlib.nullcontext()
+        )
         started = time.perf_counter()
-        if profiled:
-            with profile_mod.SamplingProfiler(hz=OVERHEAD_HZ):
+        with sampler:
+            for _ in range(repeats):
+                clear_caches()
                 run_experiment("figure1", quick=False)
-        else:
-            run_experiment("figure1", quick=False)
         return time.perf_counter() - started
 
+    repeats = max(1, math.ceil(OVERHEAD_WINDOW_S / _round(False, 1)))
     off_s = on_s = None
     for _ in range(5):
-        off = _round(profiled=False)
-        on = _round(profiled=True)
+        off = _round(profiled=False, repeats=repeats)
+        on = _round(profiled=True, repeats=repeats)
         off_s = off if off_s is None or off < off_s else off_s
         on_s = on if on_s is None or on < on_s else on_s
     return {
@@ -368,6 +380,7 @@ def _measure_profiler_overhead() -> dict:
         "on_s": round(on_s, 4),
         "ratio": round(on_s / off_s, 4),
         "hz": OVERHEAD_HZ,
+        "repeats": repeats,
     }
 
 
@@ -419,7 +432,8 @@ def main(argv=None) -> int:
     overhead = document["profiler_overhead"]
     print(
         f"profiler overhead @{overhead['hz']} Hz: {overhead['off_s']:.4f}s -> "
-        f"{overhead['on_s']:.4f}s (ratio {overhead['ratio']:.4f})"
+        f"{overhead['on_s']:.4f}s over {overhead['repeats']} figure1 run(s) "
+        f"(ratio {overhead['ratio']:.4f})"
     )
     print(f"wrote {path}")
     if overhead["ratio"] > OVERHEAD_BUDGET_RATIO:

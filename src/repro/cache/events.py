@@ -56,6 +56,7 @@ every replacement/write/allocate policy the cache model supports.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,17 +169,14 @@ class EventStream:
         re-touch of the missed line or the next miss), omitting misses
         whose fill is never engaged before the trace ends."""
         d = self.derived
-        distances: list[int] = []
-        for k in range(len(d.miss_index)):
-            touch_lo, touch_hi = d.touch_ptr[k], d.touch_ptr[k + 1]
-            first_touch = d.touch_index[touch_lo] if touch_hi > touch_lo else None
-            next_miss = (
-                d.miss_index[k + 1] if k + 1 < len(d.miss_index) else None
-            )
-            candidates = [c for c in (first_touch, next_miss) if c is not None]
-            if candidates:
-                distances.append(min(candidates) - d.miss_index[k])
-        return distances
+        engaged = np.full(d.miss_index.shape, -1, dtype=np.int64)
+        engaged[:-1] = d.miss_index[1:]
+        # A window's re-touches all come before the next miss.
+        lo, hi = d.touch_ptr[:-1], d.touch_ptr[1:]
+        touched = hi > lo
+        engaged[touched] = d.touch_index[lo[touched]]
+        found = engaged >= 0
+        return (engaged[found] - d.miss_index[found]).tolist()
 
 
 class GeneralWalk:
@@ -237,30 +235,49 @@ class MshrWalk:
         return len(self.index)
 
 
+def _int64(array: np.ndarray) -> np.ndarray:
+    """``array`` as int64 (the array-form replay's exact integer type)."""
+    return array.astype(np.int64, copy=False)
+
+
+class MissLists(NamedTuple):
+    """The per-miss arrays of :class:`_Derived` as plain lists, which the
+    per-miss replay loop indexes far faster than numpy scalars."""
+
+    miss_index: list[int]
+    miss_offset: list[int]
+    miss_dirty: list[bool]
+    first_access_after_miss: list[int]
+    touch_ptr: list[int]
+    touch_index: list[int]
+    touch_offset: list[int]
+
+
 class _Derived:
-    """Replay-ready views of an :class:`EventStream` (plain lists, which
-    the per-miss replay loop indexes far faster than numpy scalars)."""
+    """Replay-ready per-miss views of an :class:`EventStream`: numpy
+    arrays for the array-form replay, plus plain-list copies
+    (:attr:`lists`) built only when the per-miss loop runs."""
 
     def __init__(self, events: EventStream) -> None:
         self._events = events
         is_miss = events.is_miss
         miss_pos = np.flatnonzero(is_miss)
-        self._miss_pos = miss_pos
         n_miss = miss_pos.shape[0]
         k = events.n_accesses
 
         #: instruction index / critical offset / dirty flag per fill
-        self.miss_index: list[int] = events.index[miss_pos].tolist()
-        self.miss_offset: list[int] = events.offset[miss_pos].tolist()
-        self.miss_dirty: list[bool] = events.dirty_victim[miss_pos].tolist()
+        self.miss_index: np.ndarray = _int64(events.index[miss_pos])
+        self.miss_offset: np.ndarray = _int64(events.offset[miss_pos])
+        self.miss_dirty: np.ndarray = events.dirty_victim[miss_pos]
 
         # Instruction index of the first load/store after each miss that
         # is not itself the next miss; -1 when the window is empty.
         nxt = miss_pos + 1
         safe = np.minimum(nxt, max(k - 1, 0))
         in_window = (nxt < k) & ~is_miss[safe] if k else np.zeros(0, bool)
-        first = np.where(in_window, events.index[safe], -1)
-        self.first_access_after_miss: list[int] = first.tolist()
+        self.first_access_after_miss: np.ndarray = _int64(
+            np.where(in_window, events.index[safe], -1)
+        )
         self._first_after_pos = safe[in_window] if k else np.zeros(0, np.int64)
 
         # CSR: per miss, the subsequent accesses that re-touch the line
@@ -272,19 +289,35 @@ class _Derived:
             counts = np.bincount(owner[touch], minlength=n_miss)
             ptr = np.zeros(n_miss + 1, dtype=np.int64)
             np.cumsum(counts, out=ptr[1:])
-            self.touch_ptr: list[int] = ptr.tolist()
-            self.touch_index: list[int] = events.index[touch].tolist()
-            self.touch_offset: list[int] = events.offset[touch].tolist()
+            self.touch_ptr: np.ndarray = ptr
+            self.touch_index: np.ndarray = _int64(events.index[touch])
+            self.touch_offset: np.ndarray = _int64(events.offset[touch])
             self._touch_mask = touch
         else:
-            self.touch_ptr = [0]
-            self.touch_index = []
-            self.touch_offset = []
+            self.touch_ptr = np.zeros(1, dtype=np.int64)
+            self.touch_index = np.zeros(0, dtype=np.int64)
+            self.touch_offset = np.zeros(0, dtype=np.int64)
             self._touch_mask = np.zeros(k, dtype=bool)
 
+        self._lists: MissLists | None = None
         self._general_walk: GeneralWalk | None = None
         self._mshr_walks: dict[int, MshrWalk] = {}
         self._owner_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def lists(self) -> MissLists:
+        """The per-miss arrays as plain lists, built on first use."""
+        if self._lists is None:
+            self._lists = MissLists(
+                self.miss_index.tolist(),
+                self.miss_offset.tolist(),
+                self.miss_dirty.tolist(),
+                self.first_access_after_miss.tolist(),
+                self.touch_ptr.tolist(),
+                self.touch_index.tolist(),
+                self.touch_offset.tolist(),
+            )
+        return self._lists
 
     # -- general kernel walk --------------------------------------------
 

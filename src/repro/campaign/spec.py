@@ -49,6 +49,7 @@ from typing import Any, Iterator
 from repro.obs.schemas import SchemaError, require, require_number
 from repro.service.schemas import (
     MAX_SWEEP_POINTS,
+    require_fill_cycles,
     validate_cache_spec,
     validate_trace_spec,
 )
@@ -224,6 +225,12 @@ def validate_spec(document: Any) -> dict[str, Any]:
     for i, beta in enumerate(betas):
         require_number(beta, f"$.memory_cycles[{i}]")
         require(beta >= 1.0, f"$.memory_cycles[{i}]", "must be >= 1")
+        require_fill_cycles(
+            beta,
+            [cache["line_size"] for cache in out["caches"]],
+            out["bus_width"],
+            f"$.memory_cycles[{i}]",
+        )
     out["memory_cycles"] = [float(beta) for beta in betas]
 
     # The normal form spells absent optionals as explicit nulls, so

@@ -18,11 +18,18 @@ same order* as the step simulator.  The equivalence suite
 (``tests/cpu/test_replay_equivalence.py``) pins ``TimingResult``
 equality field by field across traces, geometries and ``beta_m``.
 
-Three kernels cover the registry:
+Four kernels cover the registry:
 
-* :func:`_replay` — the fast per-fill kernel for the common case
-  (write-back + write-allocate, no write buffer, plain
-  :class:`~repro.memory.MainMemory`), policies FS/BL/BNL1-3/NB;
+* :func:`replay_fs_sweep` — full stall on the fast path (write-back +
+  write-allocate, no write buffer, plain
+  :class:`~repro.memory.MainMemory`): the per-miss recurrence
+  telescopes into a closed form, computed array-at-a-time over a whole
+  ``beta_m`` grid (a single point is a grid of one);
+* :func:`_replay` — the per-fill kernel for the other fast-path
+  policies, BL/BNL1-3/NB.  Every miss resets the carried state, so the
+  step between fill starts and every stall term are elementwise
+  functions of per-miss arrays: :func:`_replay_windowed` computes them
+  array-at-a-time;
 * :func:`_replay_general` — an event-walk kernel for everything the
   single-fill-port :class:`~repro.cpu.processor.TimingSimulator` can
   express: read-bypassing write buffers (a real
@@ -34,13 +41,12 @@ Three kernels cover the registry:
   :class:`~repro.cpu.nonblocking.MSHRSimulator` (including the
   load-use-distance knob).
 
-Full stall on the fast path takes a fourth, :func:`replay_fs_sweep`:
-with FS the per-miss recurrence telescopes into a closed form, computed
-array-at-a-time over a whole ``beta_m`` grid (a single point is a grid
-of one).  While ``beta_m`` is integral and the cycle total stays below
-2**53 every term is an exact integer, so the closed form reproduces
-:func:`_replay` bitwise; outside that bound it runs :func:`_replay`
-per point.
+The two array forms differ from a loop's operation order, so each runs
+only inside a bound where every value is an exact integer: integral
+``beta_m`` and totals below 2**53 (:func:`_fs_closed_form_exact`,
+:func:`_windowed_exact`).  Outside it the per-miss loop
+:func:`_replay_loop` runs, performing the oracle's float operations in
+the oracle's order.
 
 The only configuration still outside replay is multi-issue
 (``issue_rate > 1``), which goes through the step simulator via
@@ -182,21 +188,176 @@ def _replay_fs(events: EventStream, memory: MainMemory) -> TimingResult:
 def _replay(
     events: EventStream, memory: MainMemory, policy: StallPolicy
 ) -> TimingResult:
-    """The per-fill replay kernel (pre-validated inputs)."""
+    """The per-fill replay kernel (pre-validated inputs).
+
+    Within :func:`_windowed_exact`'s bound the windowed policies take
+    the array form (:func:`_replay_windowed`); everything else — FS,
+    which only lands here outside its own closed form's larger bound,
+    fractional ``beta_m`` and cycle totals near 2**53 — runs the
+    per-miss loop (:func:`_replay_loop`).  Both give the same bits
+    wherever the array form runs.
+    """
+    d = events.derived
+    n_chunks = events.line_size // memory.bus_width
+    scale = (d.miss_index.shape[0] + int(d.miss_dirty.sum()) + 2) * n_chunks
+    if policy is not StallPolicy.FULL_STALL and _windowed_exact(
+        memory.memory_cycle, scale, events.n_instructions
+    ):
+        result = _replay_windowed(events, memory, policy)
+    else:
+        result = _replay_loop(events, memory, policy)
+    metrics.record_timing("replay", result)
+    return result
+
+
+def _windowed_exact(beta: float, scale: int, n: int) -> bool:
+    """Whether :func:`_replay_windowed` equals :func:`_replay_loop`
+    bitwise at ``beta``, where ``scale = (fills + dirty + 2) * (L/D)``.
+
+    It does when ``beta`` is integral and every value either kernel
+    forms is an integer below 2**53: then every float operation of the
+    loop is exact, and the array form's int64 sums give the same
+    integers in any order.  The bound ``scale * beta + n < 2**53``
+    covers every such value.  Proof, with ``F = (L/D) * beta``:
+
+    * Stalls never exceed full stall's.  After miss j the processor
+      resumes at ``T_j = start_j + r + dirty_j * F`` (``r`` = ``beta``,
+      or 0 under NB).  Until miss j+1 starts, each stall is a disjoint
+      stretch of time ending by ``bus_busy = start_j + F + dirty_j * F``
+      (window stalls and the port wait end by the fill end, the bus
+      wait by ``bus_busy``), so together they are at most ``F - r``.
+      Adding miss j+1's own ``r + dirty * F`` (and the last window's
+      ``F - r``), read plus flush stall is at most ``(fills + dirty) * F``.
+    * So the cycle total, ``n - fills`` plus those stalls, is below
+      ``n + (fills + dirty) * F``.  Every ``time``, ``at`` and stall
+      sum is at most the total, and so is every fill start (the
+      processor resumes after it); a fill's end, its word arrivals
+      and ``bus_busy`` lie at most ``2 * F`` past its start.  Every
+      value is thus below ``n + (fills + dirty + 2) * F``.
+    """
+    return beta.is_integer() and scale * int(beta) + n < 2**53
+
+
+def _replay_windowed(
+    events: EventStream, memory: MainMemory, policy: StallPolicy
+) -> TimingResult:
+    """BL/BNL1-3/NB in array form, exact within :func:`_windowed_exact`.
+
+    Each miss resets the carried state: it starts at ``start_j =
+    max(time, bus_busy)``, and from then until miss j+1 the time, the
+    bus, the fill end and the window's stalls depend only on
+    ``start_j`` and miss j's own events.  Measured from ``start_j``, a
+    window ends with a *lag* — ``time`` minus the index of the last
+    instruction retired — so the step ``start_{j+1} - start_j`` and
+    every stall term are elementwise functions of per-miss arrays (see
+    ``docs/ENGINE.md``, "Windowed policies in array form").
+    """
+    beta = int(memory.memory_cycle)
+    bus_width = memory.bus_width
+    n_chunks = events.line_size // bus_width
+    fill = n_chunks * beta  # fill and copy-back duration, F
+    d = events.derived
+    index = d.miss_index
+    dirty = d.miss_dirty
+    n = events.n_instructions
+    n_miss = index.shape[0]
+    if n_miss == 0:
+        return _timing(events, memory, float(n), 0.0, 0.0)
+
+    # The miss resumes `first_word` after its start (at once under
+    # NB), then pays any copy-back: the lag the window starts from.
+    first_word = 0 if policy is StallPolicy.NON_BLOCKING else beta
+    lag0 = first_word + dirty * fill - index
+    ptr = d.touch_ptr
+    touch = d.touch_index
+    if policy is StallPolicy.BUS_LOCKED or policy is StallPolicy.BUS_NOT_LOCKED_1:
+        # One engaged access (BL: the first access; BNL1: the first
+        # re-touch of the line) waits for the fill end if it issues
+        # before it.
+        if policy is StallPolicy.BUS_LOCKED:
+            engaged = d.first_access_after_miss
+        else:
+            engaged = np.full(n_miss, -1, dtype=np.int64)
+            touched = ptr[1:] > ptr[:-1]
+            engaged[touched] = touch[ptr[:-1][touched]]
+        at = lag0 + engaged - 1
+        lag = np.where((engaged >= 0) & (at < fill), fill + 1 - engaged, lag0)
+    else:
+        owner = np.repeat(np.arange(n_miss), np.diff(ptr))
+        critical = d.miss_offset // bus_width
+        position = (d.touch_offset // bus_width - critical[owner]) % n_chunks
+        arrival = (position + 1) * beta
+        lag = lag0.copy()
+        if policy is StallPolicy.BUS_NOT_LOCKED_2:
+            # The first re-touch whose word has not arrived when it
+            # issues waits for the fill end (every word arrives by the
+            # fill end, so that re-touch issues before it).
+            at = lag0[owner] + touch - 1
+            waits = np.flatnonzero(arrival > at)
+            windows, first = np.unique(owner[waits], return_index=True)
+            lag[windows] = fill + 1 - touch[waits[first]]
+        elif touch.shape[0]:
+            # BNL3/NB: each re-touch waits for its own word, so the lag
+            # is a running max of `arrival + 1 - index`.  A re-touch
+            # issued at or after the fill end cannot raise it (its
+            # word arrived by then), so the max runs over the window.
+            windows = np.flatnonzero(ptr[1:] > ptr[:-1])
+            peak = np.maximum.reduceat(arrival + 1 - touch, ptr[windows])
+            lag[windows] = np.maximum(lag0[windows], peak)
+
+    # Miss j+1 issues `at_next` after start_j and starts once the port
+    # and the bus are free: the fill (and any copy-back) must be done.
+    at_next = lag[:-1] + index[1:] - 1
+    step = np.maximum(at_next, fill * (1 + dirty[:-1]))
+    cycles = index[0] + step.sum() + lag[-1] + n - 1
+    read_stall = (
+        n_miss * first_word + (lag - lag0).sum() + (step - at_next).sum()
+    )
+    flush_stall = int(dirty.sum()) * fill
+    return _timing(
+        events, memory, float(cycles), float(read_stall), float(flush_stall)
+    )
+
+
+def _timing(
+    events: EventStream,
+    memory: MainMemory,
+    cycles: float,
+    read_stall: float,
+    flush_stall: float,
+) -> TimingResult:
+    """A fast-path :class:`TimingResult` (no write traffic)."""
+    return TimingResult(
+        instructions=events.n_instructions,
+        cycles=cycles,
+        read_miss_stall_cycles=read_stall,
+        flush_stall_cycles=flush_stall,
+        write_stall_cycles=0.0,
+        line_fills=events.stats.line_fills,
+        memory_cycle=memory.memory_cycle,
+    )
+
+
+def _replay_loop(
+    events: EventStream, memory: MainMemory, policy: StallPolicy
+) -> TimingResult:
+    """The per-fill kernel as a loop over misses, for every policy and
+    ``beta_m``: the oracle's float operations in the oracle's order."""
     beta = memory.memory_cycle
     bus_width = memory.bus_width
     n_chunks = events.line_size // bus_width
     # Mirrors MainMemory.line_fill_duration / copy_back_duration.
     fill_duration = n_chunks * beta
 
-    d = events.derived
-    miss_index = d.miss_index
-    miss_offset = d.miss_offset
-    miss_dirty = d.miss_dirty
-    first_after = d.first_access_after_miss
-    touch_ptr = d.touch_ptr
-    touch_index = d.touch_index
-    touch_offset = d.touch_offset
+    (
+        miss_index,
+        miss_offset,
+        miss_dirty,
+        first_after,
+        touch_ptr,
+        touch_index,
+        touch_offset,
+    ) = events.derived.lists
 
     is_fs = policy is StallPolicy.FULL_STALL
     is_bl = policy is StallPolicy.BUS_LOCKED
@@ -329,18 +490,7 @@ def _replay(
                 last_index = engaged
 
     time += events.n_instructions - 1 - last_index
-
-    result = TimingResult(
-        instructions=events.n_instructions,
-        cycles=time,
-        read_miss_stall_cycles=read_stall,
-        flush_stall_cycles=flush_stall,
-        write_stall_cycles=0.0,
-        line_fills=events.stats.line_fills,
-        memory_cycle=beta,
-    )
-    metrics.record_timing("replay", result)
-    return result
+    return _timing(events, memory, time, read_stall, flush_stall)
 
 
 def _replay_general(

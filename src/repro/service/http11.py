@@ -63,6 +63,52 @@ class HttpError(Exception):
         self.message = message
 
 
+class _FramingError(Exception):
+    """A malformed header block; each reader maps it to its status."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
+def _parse_headers(lines: list[str]) -> dict[str, str]:
+    """Header fields by lower-cased name.
+
+    A repeated ``Content-Length`` is rejected rather than letting one
+    copy win, and so is ``Content-Length`` beside ``Transfer-Encoding``
+    (RFC 9112 §6.3): two framings for one message let a peer that picks
+    the other one read a different body — the request-smuggling shape.
+    """
+    headers: dict[str, str] = {}
+    for line in lines:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise _FramingError("bad_header", f"malformed header line {line!r}")
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            raise _FramingError(
+                "bad_content_length", "duplicate Content-Length header"
+            )
+        headers[name] = value.strip()
+    if "content-length" in headers and "transfer-encoding" in headers:
+        raise _FramingError(
+            "conflicting_framing",
+            "Content-Length and Transfer-Encoding in one message",
+        )
+    return headers
+
+
+def _content_length(text: str) -> int:
+    """A ``Content-Length`` value: one or more ASCII digits, nothing else
+    (``int()`` alone would also take ``+3``, ``1_0`` and ``-1``)."""
+    if not (text.isascii() and text.isdigit()):
+        raise _FramingError("bad_content_length", f"bad Content-Length {text!r}")
+    return int(text)
+
+
 @dataclass
 class Request:
     """One parsed HTTP request."""
@@ -113,28 +159,15 @@ async def read_request(
     if method not in ALLOWED_METHODS:
         raise HttpError(405, "method_not_allowed", f"method {method} not allowed")
 
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise HttpError(400, "bad_header", f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+    try:
+        headers = _parse_headers(lines[1:])
+        length_text = headers.get("content-length")
+        length = None if length_text is None else _content_length(length_text)
+    except _FramingError as error:
+        raise HttpError(400, error.code, error.message) from None
 
     body = b""
-    length_text = headers.get("content-length")
-    if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise HttpError(
-                400, "bad_content_length", f"bad Content-Length {length_text!r}"
-            ) from None
-        if length < 0:
-            raise HttpError(
-                400, "bad_content_length", f"bad Content-Length {length_text!r}"
-            )
+    if length is not None:
         if length > max_body_bytes:
             raise HttpError(
                 413,
@@ -208,14 +241,10 @@ async def read_response_head(
         raise HttpError(
             502, "bad_upstream", f"malformed status line {lines[0]!r}"
         ) from None
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise HttpError(502, "bad_upstream", f"malformed header {line!r}")
-        headers[name.strip().lower()] = value.strip()
+    try:
+        headers = _parse_headers(lines[1:])
+    except _FramingError as error:
+        raise HttpError(502, "bad_upstream", error.message) from None
     return Response(status=status, headers=headers)
 
 
@@ -236,14 +265,11 @@ async def read_response(
         raise HttpError(
             502, "bad_upstream", "unexpected chunked response body"
         )
-    length_text = response.headers.get("content-length", "0")
     try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(
-            502, "bad_upstream", f"bad Content-Length {length_text!r}"
-        ) from None
-    if length < 0 or length > max_body_bytes:
+        length = _content_length(response.headers.get("content-length", "0"))
+    except _FramingError as error:
+        raise HttpError(502, "bad_upstream", error.message) from None
+    if length > max_body_bytes:
         raise HttpError(
             502, "bad_upstream", f"unacceptable Content-Length {length}"
         )

@@ -412,6 +412,11 @@ class Fleet:
                     reader,
                     max_body_bytes=self.config.forward_max_body_bytes,
                 )
+            except HttpError:
+                # A misframed answer leaves the stream position unknown:
+                # the connection cannot be reused.
+                connection[1].close()
+                raise
             except (ConnectionError, OSError, asyncio.IncompleteReadError):
                 if connection is not None:
                     connection[1].close()

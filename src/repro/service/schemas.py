@@ -7,9 +7,11 @@ rejection — before any domain object is built, so a malformed request
 costs a 400 with a JSON-path-style message, never a stack trace from
 deep inside the engine.
 
-Limits guard the simulation-backed path: ``instructions`` and matmul
-``n`` are capped so a single request cannot monopolise the batch worker
-(see ``docs/SERVICE.md`` for the knobs).
+Limits guard the simulation-backed path: ``instructions``, matmul
+``n`` and ``alu_per_reference`` are capped so a single request cannot
+monopolise the batch worker (see ``docs/SERVICE.md`` for the knobs),
+and ``memory_cycle`` is capped so every accepted point replays exactly
+(:data:`MAX_FILL_CYCLES`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "SchemaError",
     "MAX_INSTRUCTIONS",
     "MAX_MATMUL_N",
+    "MAX_ALU_PER_REFERENCE",
+    "MAX_FILL_CYCLES",
     "MAX_SWEEP_POINTS",
     "validate_execution_time",
     "validate_tradeoff",
@@ -35,6 +39,7 @@ __all__ = [
     "validate_cache_spec",
     "sweep_grid",
     "sweep_point_count",
+    "require_fill_cycles",
 ]
 
 #: Largest trace a single simulate request may ask for.
@@ -42,6 +47,34 @@ MAX_INSTRUCTIONS = 500_000
 
 #: Largest square-matmul dimension a single simulate request may ask for.
 MAX_MATMUL_N = 96
+
+#: Most ALU instructions a matmul trace may interleave per reference.
+MAX_ALU_PER_REFERENCE = 64
+
+#: Most loads and stores of an accepted matmul: ``2 n**3`` multiply-add
+#: loads plus a load and a store of C per (i, j, k-tile), at most
+#: ``2 n**3`` more.
+_MAX_MATMUL_REFERENCES = 4 * MAX_MATMUL_N**3
+
+#: Most loads and stores any accepted trace has.
+_MAX_REFERENCES = max(MAX_INSTRUCTIONS, _MAX_MATMUL_REFERENCES)
+
+#: Most instructions any accepted trace has.
+_MAX_TRACE_INSTRUCTIONS = max(
+    MAX_INSTRUCTIONS, _MAX_MATMUL_REFERENCES * (1 + MAX_ALU_PER_REFERENCE)
+)
+
+#: Longest line fill, ``memory_cycle * line_size / bus_width``, a
+#: simulation-backed request may ask for.  The per-fill replay (plain
+#: memory, no write buffer) is bitwise exact, and equal to the step
+#: simulator, while
+#: ``n + (fills + dirty + 2) * fill < 2**53``
+#: (:func:`repro.cpu.replay._windowed_exact`); with ``fills`` and
+#: ``dirty`` at most the reference count, this is the largest ``fill``
+#: that keeps every accepted trace inside that bound.
+MAX_FILL_CYCLES = (2**53 - 1 - _MAX_TRACE_INSTRUCTIONS) // (
+    2 * _MAX_REFERENCES + 2
+)
 
 #: Largest grid one ``/v1/sweep`` request may expand to.  The stream
 #: never buffers the grid, so this bounds *work*, not memory.
@@ -369,7 +402,12 @@ def validate_trace_spec(
             spec, "element_size", path, default=8, minimum=1
         ),
         "alu_per_reference": _integer(
-            spec, "alu_per_reference", path, default=2, minimum=0
+            spec,
+            "alu_per_reference",
+            path,
+            default=2,
+            minimum=0,
+            maximum=MAX_ALU_PER_REFERENCE,
         ),
     }
 
@@ -402,6 +440,23 @@ def validate_cache_spec(
             "must be a power of two",
         )
     return out
+
+
+def require_fill_cycles(
+    beta: float, line_sizes: list[int], bus_width: int, path: str
+) -> None:
+    """Reject a ``beta`` whose longest line fill (over ``line_sizes``)
+    exceeds :data:`MAX_FILL_CYCLES`.  Shared with the campaign spec
+    validator, like :func:`validate_trace_spec`."""
+    chunks = max(line_sizes) // bus_width
+    # chunks is a power of two, so the quotient is exact.
+    limit = MAX_FILL_CYCLES / chunks
+    require(
+        beta <= limit,
+        path,
+        f"must be <= {limit} (a line fill of {chunks} bus transfers "
+        f"may take at most {MAX_FILL_CYCLES} cycles)",
+    )
 
 
 # Internal aliases predating the shared (path-parameterized) names.
@@ -448,6 +503,12 @@ def validate_simulate(params: Any) -> dict[str, Any]:
         out["cache"]["line_size"] % out["bus_width"] == 0,
         "$.params.cache.line_size",
         f"must be a multiple of bus_width ({out['bus_width']})",
+    )
+    require_fill_cycles(
+        out["memory_cycle"],
+        [out["cache"]["line_size"]],
+        out["bus_width"],
+        "$.params.memory_cycle",
     )
     return out
 
@@ -529,6 +590,12 @@ def validate_sweep(params: Any) -> dict[str, Any]:
     for i, beta in enumerate(betas):
         require_number(beta, f"$.params.memory_cycles[{i}]")
         require(beta >= 1.0, f"$.params.memory_cycles[{i}]", "must be >= 1")
+        require_fill_cycles(
+            beta,
+            [cache["line_size"] for cache in out["caches"]],
+            out["bus_width"],
+            f"$.params.memory_cycles[{i}]",
+        )
     out["memory_cycles"] = [float(beta) for beta in betas]
 
     points = len(out["caches"]) * len(out["policies"]) * len(out["memory_cycles"])
